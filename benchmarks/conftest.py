@@ -3,7 +3,8 @@
 Each benchmark regenerates one table or figure of the paper.  Results are
 printed to stdout (so ``pytest benchmarks/ --benchmark-only -s`` shows the
 regenerated rows/series) and also written to ``results/`` as plain-text
-files for inclusion in EXPERIMENTS.md.
+files.  Whole-campaign speed is measured separately, by ``perfbench/``
+(see ``perfbench/README.md``).
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 :func:`generate_report` runs every experiment of the paper's evaluation
 (Table I, the latency comparison, Figure 5, Figure 6) and assembles a single
 markdown document with the measured values next to the paper's reference
-numbers — the machine-generated counterpart of EXPERIMENTS.md.
+numbers — the machine-generated counterpart of the per-figure files the
+benchmark harness writes to ``results/``.
 """
 
 from __future__ import annotations

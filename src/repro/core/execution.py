@@ -43,6 +43,17 @@ class ExecutionState(enum.Enum):
     WAITING = "waiting"
 
 
+# Module-level aliases for the per-cycle dispatch: a global lookup is several
+# times cheaper than an attribute lookup on the Enum class.
+_IDLE = ExecutionState.IDLE
+_FETCH = ExecutionState.FETCH
+_ISSUE_READ = ExecutionState.ISSUE_READ
+_READ_WAIT = ExecutionState.READ_WAIT
+_ISSUE_WRITE = ExecutionState.ISSUE_WRITE
+_WRITE_WAIT = ExecutionState.WRITE_WAIT
+_WAITING = ExecutionState.WAITING
+
+
 class ExecutionUnit:
     """Microcode interpreter for one link."""
 
@@ -59,7 +70,7 @@ class ExecutionUnit:
         self.bus_submit = bus_submit
         self.action_sink = action_sink
         self.base_address = base_address
-        self.state = ExecutionState.IDLE
+        self.state = _IDLE
         self.pc = 0
         self.capture_register = 0
         self._current: Optional[Command] = None
@@ -88,7 +99,12 @@ class ExecutionUnit:
     @property
     def idle(self) -> bool:
         """Whether the unit can accept a new trigger."""
-        return self.state is ExecutionState.IDLE
+        return self.state is _IDLE
+
+    @property
+    def wait_remaining(self) -> Optional[int]:
+        """Cycles left in the current ``wait`` (``None`` when not waiting)."""
+        return self._wait_remaining if self.state is _WAITING else None
 
     def start(self, trigger: TriggerEntry) -> None:
         """Begin servicing a trigger; the first fetch happens next cycle."""
@@ -96,7 +112,7 @@ class ExecutionUnit:
             raise RuntimeError(f"{self.name}: cannot start while {self.state.value}")
         self._active_trigger = trigger
         self.pc = 0
-        self.state = ExecutionState.FETCH
+        self.state = _FETCH
         self.last_trigger_cycle = trigger.cycle
         self.first_action_cycle = None
         self.last_bus_write_cycle = None
@@ -111,18 +127,33 @@ class ExecutionUnit:
 
     def tick(self, cycle: int) -> None:
         """Advance the FSM by one clock cycle."""
-        if self.state is ExecutionState.IDLE:
+        state = self.state
+        if state is _IDLE:
             return
         self.busy_cycles += 1
-        handler = {
-            ExecutionState.FETCH: self._tick_fetch,
-            ExecutionState.ISSUE_READ: self._tick_issue_read,
-            ExecutionState.READ_WAIT: self._tick_read_wait,
-            ExecutionState.ISSUE_WRITE: self._tick_issue_write,
-            ExecutionState.WRITE_WAIT: self._tick_write_wait,
-            ExecutionState.WAITING: self._tick_waiting,
-        }[self.state]
-        handler(cycle)
+        if state is _WAITING:
+            self._tick_waiting(cycle)
+        elif state is _FETCH:
+            self._tick_fetch(cycle)
+        elif state is _READ_WAIT:
+            self._tick_read_wait(cycle)
+        elif state is _WRITE_WAIT:
+            self._tick_write_wait(cycle)
+        elif state is _ISSUE_READ:
+            self._tick_issue_read(cycle)
+        else:
+            self._tick_issue_write(cycle)
+
+    def skip_wait(self, cycles: int) -> None:
+        """Replay ``cycles`` ticks of a ``wait`` countdown that do not end it.
+
+        Each such tick only counts a busy cycle and decrements the countdown,
+        so the batch is exact while ``cycles`` is below the remaining count;
+        the tick that ends the wait (and re-enters fetch) must be real.  The
+        caller checks that bound (:meth:`repro.core.pels.Pels.skip`).
+        """
+        self.busy_cycles += cycles
+        self._wait_remaining -= cycles
 
     # ------------------------------------------------------------------- states
 
@@ -150,14 +181,14 @@ class ExecutionUnit:
         elif opcode is Opcode.WAIT:
             self._count(opcode)
             self._wait_remaining = command.data
-            self.state = ExecutionState.WAITING if command.data > 0 else ExecutionState.FETCH
+            self.state = _WAITING if command.data > 0 else _FETCH
             if command.data == 0:
                 self.pc += 1
         elif opcode is Opcode.WRITE:
-            self.state = ExecutionState.ISSUE_WRITE
+            self.state = _ISSUE_WRITE
             self._modified_value = command.data
         elif opcode in (Opcode.SET, Opcode.CLEAR, Opcode.TOGGLE, Opcode.CAPTURE):
-            self.state = ExecutionState.ISSUE_READ
+            self.state = _ISSUE_READ
         else:  # pragma: no cover - all opcodes handled above
             raise RuntimeError(f"{self.name}: unhandled opcode {opcode!r}")
 
@@ -170,7 +201,7 @@ class ExecutionUnit:
         )
         self._submit(request)
         self.bus_reads += 1
-        self.state = ExecutionState.READ_WAIT
+        self.state = _READ_WAIT
 
     def _tick_read_wait(self, cycle: int) -> None:
         request = self._pending_request
@@ -187,7 +218,7 @@ class ExecutionUnit:
             self.capture_register = value & command.data & WORD_MASK
             self._count(Opcode.CAPTURE)
             self.pc += 1
-            self.state = ExecutionState.FETCH
+            self.state = _FETCH
             return
         # Read-modify-write commands: compute the writeback value (marker 7).
         if command.opcode is Opcode.SET:
@@ -196,7 +227,7 @@ class ExecutionUnit:
             self._modified_value = value & ~command.data & WORD_MASK
         else:  # TOGGLE
             self._modified_value = (value ^ command.data) & WORD_MASK
-        self.state = ExecutionState.ISSUE_WRITE
+        self.state = _ISSUE_WRITE
 
     def _tick_issue_write(self, cycle: int) -> None:
         command = self._require_current()
@@ -208,7 +239,7 @@ class ExecutionUnit:
         )
         self._submit(request)
         self.bus_writes += 1
-        self.state = ExecutionState.WRITE_WAIT
+        self.state = _WRITE_WAIT
 
     def _tick_write_wait(self, cycle: int) -> None:
         request = self._pending_request
@@ -224,13 +255,13 @@ class ExecutionUnit:
             self.last_bus_write_cycle = request.response.completed_cycle
         self._count(command.opcode)
         self.pc += 1
-        self.state = ExecutionState.FETCH
+        self.state = _FETCH
 
     def _tick_waiting(self, cycle: int) -> None:
         self._wait_remaining -= 1
         if self._wait_remaining <= 0:
             self.pc += 1
-            self.state = ExecutionState.FETCH
+            self.state = _FETCH
 
     # ------------------------------------------------------------------ helpers
 
@@ -265,7 +296,7 @@ class ExecutionUnit:
         self._active_trigger = None
         self._current = None
         self._loop_remaining = None
-        self.state = ExecutionState.IDLE
+        self.state = _IDLE
 
     def _submit(self, request: BusRequest) -> None:
         if self.bus_submit is None:
@@ -280,7 +311,7 @@ class ExecutionUnit:
         self._active_trigger = None
         self._current = None
         self._loop_remaining = None
-        self.state = ExecutionState.IDLE
+        self.state = _IDLE
 
     def _require_current(self) -> Command:
         if self._current is None:
@@ -292,7 +323,7 @@ class ExecutionUnit:
 
     def reset(self) -> None:
         """Return to the post-reset state (statistics are cleared)."""
-        self.state = ExecutionState.IDLE
+        self.state = _IDLE
         self.pc = 0
         self.capture_register = 0
         self._current = None

@@ -122,13 +122,17 @@ class Link:
         self._open_record = None
 
     def skip_idle(self, cycles: int) -> None:
-        """Replay ``cycles`` idle steps (``events == 0``) in one batch.
+        """Replay ``cycles`` steps on an empty event vector in one batch.
 
-        Only valid while :attr:`quiescent`: the execution unit stays idle, no
-        trigger can fire on an empty event vector, and the only per-cycle
-        effects of :meth:`step` are the trigger unit's evaluation counter and
-        its (zero) masked-vector history.
+        Valid while :attr:`wake` is ``None`` or greater than ``cycles``.  A
+        quiescent link's steps only count trigger evaluations and leave a
+        zero masked-vector history: its execution unit stays idle and no
+        trigger can fire on an empty vector.  A waiting link's steps also
+        count down its ``wait``; none of them ends it, so no record closes and
+        no queued trigger is popped.
         """
+        if self.execution.state is ExecutionState.WAITING:
+            self.execution.skip_wait(cycles)
         self.trigger.evaluations += cycles
         self.trigger._previous_masked = 0
 
@@ -148,6 +152,20 @@ class Link:
         per-step side effect the latency analysis depends on).
         """
         return self.execution.idle and self.trigger.fifo.empty and self._open_record is None
+
+    @property
+    def wake(self) -> Optional[int]:
+        """Steps until this link needs a real :meth:`step`, on an empty vector.
+
+        ``None`` while :attr:`quiescent`; the remaining count while the
+        execution unit sits in a ``wait`` (the step that ends it must be
+        real); ``1`` in every other state.  The steps before the wake are
+        what :meth:`skip_idle` replays.
+        """
+        if self.quiescent:
+            return None
+        remaining = self.execution.wait_remaining
+        return 1 if remaining is None else remaining
 
     @property
     def last_record(self) -> Optional[LinkEventRecord]:

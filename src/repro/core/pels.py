@@ -26,11 +26,13 @@ from repro.bus.apb import ApbBus
 from repro.bus.transaction import BusRequest
 from repro.core.assembler import Program
 from repro.core.config import PelsConfig
+from repro.core.execution import ExecutionState
 from repro.core.isa import Command, decode_command
 from repro.core.link import Link
 from repro.core.trigger import TriggerCondition
 from repro.peripherals.events import EventFabric
 from repro.sim.component import Component
+from repro.sim.simulator import SimulationError
 
 # Register map constants (byte offsets within the PELS configuration window).
 REG_GLOBAL_CTRL = 0x000
@@ -48,6 +50,8 @@ LINK_REG_CAPTURE = 0x14
 LINK_SCM_WINDOW = 0x40  # each SCM line occupies two words: data word, then {opcode, field}
 
 GLOBAL_ENABLE_BIT = 0x1
+
+_IDLE = ExecutionState.IDLE
 
 
 @dataclass(frozen=True)
@@ -305,12 +309,25 @@ class Pels(Component):
                 self.fabric.pulse(line_name)
                 self.record("loopback_pulses")
             self._pending_loopback = []
-        # 2. Broadcast the current event vector to every link.
-        events = self.fabric.active_mask() if self.enabled else 0
+        # 2. Broadcast the current event vector to every link.  A quiescent
+        # link that no event selects only counts the evaluation: that is all
+        # its step() would do, so it is applied inline.
+        events = self.fabric.active_mask() if self._enabled else 0
         busy_links = 0
         for link in self.links:
+            execution = link.execution
+            trigger = link.trigger
+            if (
+                execution.state is _IDLE
+                and not events & trigger.mask
+                and link._open_record is None
+                and trigger.fifo.empty
+            ):
+                trigger.evaluations += 1
+                trigger._previous_masked = 0
+                continue
             link.step(events, cycle)
-            if link.busy:
+            if execution.state is not _IDLE:
                 busy_links += 1
         if busy_links:
             self.record("busy_cycles")
@@ -318,8 +335,7 @@ class Pels(Component):
         else:
             self.record("idle_cycles")
         # 3. Attribute this cycle's SCM traffic to PELS for the power model.
-        scm_reads = sum(link.scm.read_count for link in self.links)
-        scm_writes = sum(link.scm.write_count for link in self.links)
+        scm_reads, scm_writes = self._scm_traffic()
         if scm_reads > self._scm_reads_seen:
             self.record("scm_reads", scm_reads - self._scm_reads_seen)
             self._scm_reads_seen = scm_reads
@@ -329,31 +345,48 @@ class Pels(Component):
         # 4. Event pulses are single-cycle: clear them after all links sampled.
         self.fabric.end_cycle()
 
+    def _scm_traffic(self) -> Tuple[int, int]:
+        reads = writes = 0
+        for link in self.links:
+            reads += link.scm.read_count
+            writes += link.scm.write_count
+        return reads, writes
+
     # ------------------------------------------------------------ wake protocol
 
-    def _quiescent(self) -> bool:
+    def next_event(self) -> Optional[int]:
         # PELS must see the very next cycle whenever anything is in motion: a
         # registered loopback pulse to apply, an event on the fabric to
         # broadcast (it also owns the end-of-cycle pulse clearing), a link
-        # executing microcode or holding queued triggers, a completed event
-        # record awaiting closure, or SCM traffic (e.g. host-side microcode
-        # programming) not yet attributed to the activity counters.
+        # executing microcode or holding queued triggers while idle, a
+        # completed event record awaiting closure, or SCM traffic (e.g.
+        # host-side microcode programming) not yet attributed to the activity
+        # counters.  The one busy state it can sleep through is a ``wait``
+        # countdown: the wake is the earliest tick that ends one.
         if self._pending_loopback or self.fabric.active_mask():
-            return False
-        if not all(link.quiescent for link in self.links):
-            return False
-        return (
-            sum(link.scm.read_count for link in self.links) == self._scm_reads_seen
-            and sum(link.scm.write_count for link in self.links) == self._scm_writes_seen
-        )
-
-    def next_event(self):
-        return None if self._quiescent() else 1
+            return 1
+        horizon = None
+        for link in self.links:
+            wake = link.wake
+            if wake is not None and (horizon is None or wake < horizon):
+                if wake == 1:
+                    return 1
+                horizon = wake
+        if self._scm_traffic() != (self._scm_reads_seen, self._scm_writes_seen):
+            return 1
+        return horizon
 
     def skip(self, cycles: int) -> None:
-        if not self._quiescent():
-            return
-        self.record("idle_cycles", cycles)
+        horizon = self.next_event()
+        if horizon is not None and cycles >= horizon:
+            raise SimulationError(f"{self.name}: cannot replay {cycles} cycles, the next wake is in {horizon}")
+        # Below the horizon every busy link is counting down a wait.
+        busy_links = sum(1 for link in self.links if link.execution.state is not _IDLE)
+        if busy_links:
+            self.record("busy_cycles", cycles)
+            self.record("link_busy_cycles", busy_links * cycles)
+        else:
+            self.record("idle_cycles", cycles)
         for link in self.links:
             link.skip_idle(cycles)
 

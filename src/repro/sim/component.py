@@ -111,8 +111,14 @@ class Component:
 
     def record(self, event: str, amount: int = 1) -> None:
         """Record ``amount`` occurrences of ``event`` for this component."""
-        if self._simulator is not None:
-            self._simulator.activity.add(self.name, event, amount)
+        simulator = self._simulator
+        if simulator is not None:
+            # The per-cycle hot path: increment the live counters directly.
+            # The component name was validated at construction and event
+            # names are literals, so only the amount needs checking.
+            if amount < 0:
+                raise ValueError("activity increments must be non-negative")
+            simulator._state.activity._counts[(self.name, event)] += amount
         else:
             self._local_activity.add(self.name, event, amount)
 

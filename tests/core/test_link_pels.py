@@ -24,7 +24,7 @@ from repro.core.pels import (
 from repro.core.trigger import TriggerCondition
 from repro.peripherals.events import EventFabric
 from repro.peripherals.gpio import Gpio
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import SimulationError, Simulator
 
 
 def build_pels(n_links=2, scm_lines=6, with_gpio=True):
@@ -264,6 +264,59 @@ class TestConfigurationBusInterface:
     def test_window_size_covers_all_links(self):
         _, _, _, _, pels = build_pels(n_links=4)
         assert pels.window_size == LINK_WINDOW_BASE + 4 * LINK_WINDOW_STRIDE
+
+
+class TestWaitHorizon:
+    """PELS sleeps through ``wait`` countdowns: its wake is the earliest end."""
+
+    def _two_waits(self, dense=False):
+        simulator, fabric, _, _, pels = build_pels(n_links=2)
+        simulator.dense = dense
+        pels.program_link(0, assemble("wait 30\nend"), trigger_mask=0b1)
+        pels.program_link(1, assemble("wait 12\nend"), trigger_mask=0b1)
+        fabric.pulse("ext.event0")
+        simulator.step(2)  # trigger, then fetch the wait
+        return simulator, fabric, pels
+
+    def test_quiescent_pels_has_no_wake(self):
+        _, _, _, _, pels = build_pels()
+        assert pels.next_event() is None
+
+    def test_wake_is_the_earliest_countdown_end(self):
+        _, _, pels = self._two_waits()
+        assert pels.next_event() == 12
+
+    def test_skip_replays_the_countdown(self):
+        _, _, pels = self._two_waits()
+        busy_before = [link.execution.busy_cycles for link in pels.links]
+        pels.skip(11)
+        assert [link.execution.busy_cycles for link in pels.links] == [
+            before + 11 for before in busy_before
+        ]
+        assert pels.next_event() == 1
+
+    def test_skip_past_the_wake_raises(self):
+        _, _, pels = self._two_waits()
+        with pytest.raises(SimulationError):
+            pels.skip(12)
+
+    def test_skip_while_an_event_is_pending_raises(self):
+        _, fabric, _, _, pels = build_pels()
+        fabric.pulse("ext.event0")
+        with pytest.raises(SimulationError):
+            pels.skip(1)
+
+    def test_event_driven_run_skips_and_matches_dense(self):
+        event, _, event_pels = self._two_waits()
+        dense, _, dense_pels = self._two_waits(dense=True)
+        event.step(60)
+        dense.step(60)
+        assert event.kernel_stats["cycles_skipped"] > 0
+        assert event.activity.as_dict() == dense.activity.as_dict()
+        for event_link, dense_link in zip(event_pels.links, dense_pels.links):
+            assert event_link.execution.busy_cycles == dense_link.execution.busy_cycles
+            assert event_link.trigger.evaluations == dense_link.trigger.evaluations
+            assert event_link.last_record.total_latency == dense_link.last_record.total_latency
 
 
 class TestReset:

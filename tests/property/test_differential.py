@@ -52,6 +52,12 @@ def _counters(soc):
         counters["link_latencies"] = tuple(
             tuple(record.total_latency for record in link.records) for link in soc.pels.links
         )
+        # Per-link busy/stall accounting and trigger evaluations: a skipped
+        # span inside a `wait` countdown must replay these exactly.
+        counters["link_execution"] = tuple(
+            (link.execution.busy_cycles, link.execution.stall_cycles, link.trigger.evaluations)
+            for link in soc.pels.links
+        )
     return counters
 
 
@@ -68,6 +74,9 @@ soc_scenario = st.fixed_dictionaries(
         "link_adc": st.booleans(),
         "link_pwm": st.booleans(),
         "link_kick": st.booleans(),
+        "link_blink": st.booleans(),
+        "blink_gap": st.integers(min_value=0, max_value=20),
+        "blink_count": st.integers(min_value=0, max_value=3),
         "spi_words": st.integers(min_value=1, max_value=4),
         "spi_clk_div": st.integers(min_value=1, max_value=6),
         "with_dma": st.booleans(),
@@ -94,10 +103,28 @@ def _run_soc_scenario(params, dense):
     timer_bit = 1 << soc.fabric.index_of(soc.timer.event_line_name("overflow"))
     adc_bit = 1 << soc.fabric.index_of(soc.adc.event_line_name("eoc"))
 
+    # Link 0 fires on the timer: bits 0-1 start the ADC and SPI, bit 2 wakes
+    # the blinker link through a loopback line.
+    timer_actions = 0
     if params["link_adc"]:
         pels.route_action_to_peripheral(group=0, bit=0, peripheral=soc.adc, port="soc")
         pels.route_action_to_peripheral(group=0, bit=1, peripheral=soc.spi, port="start")
-        pels.program_link(0, assembler.assemble("action 0 0x3\nend"), trigger_mask=timer_bit)
+        timer_actions |= 0x3
+    if params["link_blink"]:
+        wake_blinker = pels.add_loopback_line("wake_blinker")
+        pels.route_action_to_fabric(group=0, bit=2, line_name=wake_blinker)
+        pels.route_action_to_peripheral(group=3, bit=0, peripheral=soc.gpio, port="toggle_pad0")
+        pels.program_link(
+            3,
+            assembler.assemble(
+                f"BLINK: action 3 0x1\nwait {params['blink_gap']}\n"
+                f"loop BLINK {params['blink_count']}\nend"
+            ),
+            trigger_mask=1 << soc.fabric.index_of(wake_blinker),
+        )
+        timer_actions |= 0x4
+    if timer_actions:
+        pels.program_link(0, assembler.assemble(f"action 0 {timer_actions:#x}\nend"), trigger_mask=timer_bit)
     if params["link_pwm"]:
         adc_base = soc.address_map.peripheral_base("adc")
         adc_data = (soc.register_address("adc", "DATA") - adc_base) // 4

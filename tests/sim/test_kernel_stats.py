@@ -16,6 +16,7 @@ must wake exactly once per PWM period.
 """
 
 from repro.power.scenarios import build_idle_measurement_soc
+from repro.workloads.pipeline import MultiLinkPipelineConfig, prepare_multi_link_pipeline
 
 HORIZON = 50_000
 PWM_PERIOD = 128
@@ -80,3 +81,24 @@ class TestLegacyKernelCounts:
         assert (
             cached.pwm.regs.reg("COUNT").value == legacy.pwm.regs.reg("COUNT").value
         )
+
+
+PIPELINE_HORIZON = 70_000
+
+
+class TestPipelineSchedulerCounts:
+    """The multi-link pipeline: a busy PELS whose blinker link spends most of
+    its service time in ``wait`` countdowns.  PELS reports the earliest end
+    of a countdown as its wake, so the scheduler skips the countdown cycles
+    instead of ticking every component through them."""
+
+    def test_wait_countdowns_are_skipped(self):
+        prepared = prepare_multi_link_pipeline(
+            MultiLinkPipelineConfig(clock_ratio=1, timer_period_cycles=150)
+        )
+        prepared.soc.run(PIPELINE_HORIZON)
+        stats = prepared.soc.simulator.kernel_stats
+        assert stats["dense_ticks"] == 13_049
+        assert stats["spans_skipped"] == 3_263
+        assert stats["cycles_skipped"] == 56_951
+        assert stats["dense_ticks"] + stats["cycles_skipped"] == PIPELINE_HORIZON
