@@ -40,8 +40,8 @@ The event-driven mode resolves wakes in two tiers:
   dense stepping.  Plans are *structural* — they reference components by
   position, never by object — and are interned process-wide, so every
   simulator instance of the same topology (every point of a sweep campaign,
-  every instance in a :class:`~repro.sim.batch.BatchSimulator`) shares one
-  plan object instead of re-deriving the classification per instance.
+  run alone or through :meth:`Simulator.run_to_stops`) shares one plan
+  object instead of re-deriving the classification per instance.
 * :class:`SimState` is the **per-instance, mutable** half: the base-tick
   counter, the plan's index lists bound to this instance's component
   objects, the deadline heap and dirty set of the wake cache, the clock
@@ -76,6 +76,11 @@ from repro.sim.trace import TraceRecorder
 
 class SimulationError(RuntimeError):
     """Raised for simulator misuse or when a run exceeds its cycle budget."""
+
+
+#: A :meth:`Simulator.run_to_stops` callback: receives the stop's cycle count
+#: (relative to the start of the run) while the simulator is paused on it.
+StopCallback = Callable[[int], None]
 
 
 class Simulator:
@@ -270,27 +275,74 @@ class Simulator:
 
     # --------------------------------------------------------------------- run
 
-    def advance_span(self, limit: int) -> int:
-        """Advance past one span boundary; return the base ticks advanced.
+    def run_to_stops(self, stops: Sequence[Tuple[int, StopCallback]], label: Optional[str] = None) -> None:
+        """Run through ``stops``, pausing exactly on each to fire its callback.
 
-        One call performs exactly one iteration of the event-driven stepping
-        loop: skip the current quiescent span (capped at ``limit``) and, if
-        the span ended before ``limit``, execute the dense tick at the wake
-        boundary.  ``step(n)`` is equivalent to a loop over this primitive,
-        and :class:`~repro.sim.batch.BatchSimulator` uses it to interleave
-        many instances at span granularity (re-resolving the plan only at
-        entry, like :meth:`step` does).  In dense mode (or when an unhinted
-        ticking component forces it) the call runs ``limit`` dense ticks.
-
-        Returns a value in ``[1, limit]`` for ``limit >= 1`` and ``0`` for
-        ``limit == 0``.
+        ``stops`` are ``(cycles, callback)`` pairs, counted from the current
+        cycle.  Each callback receives its stop's ``cycles`` and must only
+        observe the paused simulator (read counters, copy activity); one
+        that advances it raises :class:`SimulationError`.  Quiescent spans
+        are capped at the next stop and replayed through the same
+        :meth:`~repro.sim.component.Component.skip` contract as an uncapped
+        span, so the state seen at a stop is identical to a standalone
+        ``step(cycles)``.  That is what lets one simulation serve every
+        sweep point of a horizon ladder (``docs/simulator.md``).
         """
-        if limit < 0:
-            raise SimulationError("cannot advance a negative number of cycles")
-        if limit == 0:
-            return 0
+        if not stops:
+            raise SimulationError("run_to_stops needs at least one stop")
+        ordered = sorted(stops, key=lambda stop: stop[0])
+        previous = 0
+        for cycles, _ in ordered:
+            if cycles < 1:
+                raise SimulationError("stops must be at least one cycle out")
+            if cycles == previous:
+                raise SimulationError(
+                    f"duplicate stop at cycle {cycles}; register one stop per cycle and fan out inside the callback"
+                )
+            previous = cycles
+        label = label if label is not None else repr(self)
         plan = self._schedule_plan()
-        return self._state.advance_span(limit, dense=self.dense or plan.forces_dense)
+        dense = self.dense or plan.forces_dense
+        state = self._state
+        tracer = tracing.TRACER
+        run_ns = tracer.now_ns() if tracer is not None else 0
+        elapsed = 0
+        for cycles, callback in ordered:
+            while elapsed < cycles:
+                advanced = state.advance_span(cycles - elapsed, dense)
+                if advanced <= 0:
+                    raise SimulationError(
+                        f"{label} made no progress at elapsed cycle {elapsed} with a "
+                        f"stop pending at cycle {cycles}; the scenario's wake "
+                        f"scheduling is mis-wired (e.g. an empty wake heap with "
+                        f"work outstanding)"
+                    )
+                elapsed += advanced
+            before = state.base_tick
+            if tracer is None:
+                callback(cycles)
+            else:
+                start_ns = tracer.now_ns()
+                callback(cycles)
+                tracer.event(
+                    "batch.stop",
+                    "batch",
+                    start_ns,
+                    tracer.now_ns() - start_ns,
+                    {"label": label, "cycle": cycles},
+                )
+            if state.base_tick != before:
+                raise SimulationError(
+                    f"stop callback at cycle {cycles} of {label} advanced the simulator; callbacks must only observe"
+                )
+        if tracer is not None:
+            tracer.event(
+                "batch.run",
+                "batch",
+                run_ns,
+                tracer.now_ns() - run_ns,
+                {"label": label, "stops": len(ordered), "cycles": elapsed},
+            )
 
     def step(self, cycles: int = 1) -> None:
         """Advance the simulation by ``cycles`` base ticks.
@@ -599,13 +651,6 @@ class SchedulePlan:
         self.n_components = len(entries)
 
 
-#: Sentinel stored in an attached wake-deadline column for "no deadline"
-#: (``deadlines[i] is None``).  Large enough that ``WAKE_NONE - base_tick``
-#: never caps a span, small enough that int64 column arithmetic cannot
-#: overflow.
-WAKE_NONE = 1 << 62
-
-
 class SimState:
     """Per-instance mutable scheduling state.
 
@@ -622,16 +667,6 @@ class SimState:
     next boundary.  Absolute deadlines survive skips unchanged — only firing
     (deadline expiry, detected in :meth:`dense_tick`) or an explicit
     :meth:`invalidate_wake` moves them.
-
-    **Column extraction (batched execution).**  A struct-of-arrays batch
-    backend (:mod:`repro.sim.backend`) may hand this instance one row of a
-    shared int64 deadline matrix via :meth:`attach_wake_row`.  The row then
-    mirrors the authoritative ``deadlines`` list at every mutation site
-    (re-poll, expiry, cache clear) with :data:`WAKE_NONE` standing in for
-    ``None``, so the backend computes every instance's earliest cached wake
-    as one vectorised row-min instead of a per-instance heap peek.  The heap
-    keeps running regardless — it still drives deadline expiry in
-    :meth:`dense_tick` and the solo stepping path.
     """
 
     def __init__(self) -> None:
@@ -640,7 +675,7 @@ class SimState:
         self.traces = TraceRecorder()
         # The canonical scheduler counters: the key set is defined once in
         # repro.obs.metrics (KERNEL_STAT_KEYS) and shared by every kernel
-        # and batch backend; writing an undeclared key raises at the
+        # and stepping path; writing an undeclared key raises at the
         # increment site (tests/sim/test_kernel_stat_keys.py pins the set).
         self.kernel_stats: CounterSet = CounterSet(KERNEL_STAT_KEYS)
         #: The plan these bound lists were derived from (identity-compared).
@@ -657,23 +692,16 @@ class SimState:
         self.deadlines: List[Optional[int]] = []
         self._dirty: set = set()
         self._heap: List[Tuple[int, int]] = []
-        #: Optional backend-owned int64 row mirroring ``deadlines``
-        #: (:data:`WAKE_NONE` for ``None``); see :meth:`attach_wake_row`.
-        self._wake_row = None
         #: Component whose tick()/skip() is currently executing; its *self*
         #: invalidations are suppressed (see invalidate_wake).
         self._active_component: Optional[Component] = None
 
     def __getstate__(self) -> Dict[str, object]:
         # Prepared-state snapshots (repro.sim.snapshot) pickle whole
-        # simulators between processes and across batch backends.  The wake
-        # row is a backend-owned view into a shared deadline matrix — the
-        # authoritative ``deadlines`` list carries the same information, and
-        # whichever backend runs the restored instance re-attaches its own
-        # row.  ``_active_component`` only ever holds a value *during* a
-        # tick/skip dispatch, never at a stop boundary.
+        # simulators between processes.  ``_active_component`` only ever
+        # holds a value *during* a tick/skip dispatch, never at a stop
+        # boundary, so a snapshot never carries it.
         state = self.__dict__.copy()
-        state["_wake_row"] = None
         state["_active_component"] = None
         return state
 
@@ -682,9 +710,6 @@ class SimState:
     def bind(self, plan: SchedulePlan, pairs: Sequence[Tuple[Component, ClockDomain]]) -> None:
         """Bind ``plan``'s component positions to this instance's objects."""
         self.bound_plan = plan
-        # A rebind can change the cached-component count; an attached wake
-        # row has the old width and must not survive it.
-        self._wake_row = None
         self.ticking = [pairs[index] for index in plan.ticking]
         self.volatile = [pairs[index] for index in plan.volatile]
         self.cached = [pairs[index] for index in plan.cached]
@@ -743,46 +768,13 @@ class SimState:
         self.deadlines = [None] * len(self.cached)
         self._dirty = set(range(len(self.cached)))
         self._heap = []
-        if self._wake_row is not None:
-            self._wake_row[:] = WAKE_NONE
-
-    # ------------------------------------------------------------ wake columns
-
-    def attach_wake_row(self, row) -> None:
-        """Mirror this instance's cached deadlines into ``row``.
-
-        ``row`` is one row of a batch backend's shared int64 deadline matrix
-        (any mutable int sequence of length ``len(self.cached)``; in practice
-        a numpy view).  From this call on, every deadline mutation —
-        :meth:`_repoll`, the expiry sweep in :meth:`dense_tick`,
-        :meth:`clear_wake_cache` — is written through to the row with
-        :data:`WAKE_NONE` standing in for ``None``, so
-        ``row.min() - base_tick`` is this instance's earliest cached wake
-        gap.  Rebinding to a different plan detaches the row (its width would
-        be stale).
-        """
-        if len(row) != len(self.cached):
-            raise SimulationError(
-                f"wake row has width {len(row)}, expected {len(self.cached)} "
-                f"(one slot per cached component)"
-            )
-        self._wake_row = row
-        for index, deadline in enumerate(self.deadlines):
-            row[index] = WAKE_NONE if deadline is None else deadline
-
-    def detach_wake_row(self) -> None:
-        """Stop mirroring deadlines into the attached row (if any)."""
-        self._wake_row = None
 
     def _repoll(self, index: int) -> None:
         """Recompute one cached component's absolute deadline."""
         component, clock = self.cached[index]
         horizon = component.next_event()
-        row = self._wake_row
         if horizon is None:
             self.deadlines[index] = None
-            if row is not None:
-                row[index] = WAKE_NONE
             return
         if horizon < 1:
             horizon = 1
@@ -795,8 +787,6 @@ class SimState:
             first = base_tick if remainder == 0 else base_tick + (divisor - remainder)
             deadline = first + (horizon - 1) * divisor
         self.deadlines[index] = deadline
-        if row is not None:
-            row[index] = deadline
         heappush(self._heap, (deadline, index))
         # Lazy heaps accumulate stale entries; compact when they dominate.
         if len(self._heap) > 4 * len(self.cached) + 16:
@@ -841,7 +831,6 @@ class SimState:
             base_tick = self.base_tick
             deadlines = self.deadlines
             dirty = self._dirty
-            row = self._wake_row
             while heap:
                 deadline, index = heap[0]
                 if deadlines[index] != deadline:
@@ -851,8 +840,6 @@ class SimState:
                     break
                 heappop(heap)
                 deadlines[index] = None
-                if row is not None:
-                    row[index] = WAKE_NONE
                 dirty.add(index)
 
     # ------------------------------------------------------------ event-driven
@@ -860,10 +847,10 @@ class SimState:
     def advance_span(self, limit: int, dense: bool) -> int:
         """One iteration of the stepping loop against already-bound state.
 
-        The caller (``Simulator.step``/``advance_span``,
-        :class:`~repro.sim.batch.BatchSimulator`) is responsible for having
-        resolved the schedule plan first; this is the hot path and performs
-        no staleness checks.
+        Returns the base ticks advanced, in ``[1, limit]`` for ``limit >= 1``.
+        The caller (``Simulator.step``/``run_to_stops``) is responsible for
+        having resolved the schedule plan first; this is the hot path and
+        performs no staleness checks.
         """
         if dense:
             for _ in range(limit):
@@ -886,10 +873,7 @@ class SimState:
         everything before that is quiescent by the component's promise.
 
         Composed from :meth:`poll_dirty` + :meth:`volatile_bound` + the lazy
-        heap peek over cached deadlines; batch backends call the first two
-        directly and replace the peek with a vectorised row-min over attached
-        wake rows (same value by construction — the row mirrors
-        ``deadlines``).
+        heap peek over cached deadlines.
         """
         self.poll_dirty()
         span = self.volatile_bound(limit)
@@ -925,9 +909,8 @@ class SimState:
         """Span cap from the volatile components alone, in ``[0, limit]``.
 
         Returns 0 when a volatile component needs a dense tick right now.
-        Does **not** consult the cached-deadline heap — callers combine this
-        with the heap peek (:meth:`quiescent_span`) or with a wake-row min
-        (the numpy batch backend).
+        Does **not** consult the cached-deadline heap; :meth:`quiescent_span`
+        combines the two.
         """
         stats = self.kernel_stats
         base_tick = self.base_tick

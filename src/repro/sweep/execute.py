@@ -41,10 +41,9 @@ together.
 **Batched execution** (:func:`execute_campaign` with ``batch=``): scenarios
 that register a batch-prepare hook (see
 :mod:`repro.workloads.registry`) have their points grouped by parameters —
-points that differ only in ``horizon_cycles`` share one prepared simulation
-— and every group of a chunk is advanced together by a
-:class:`~repro.sim.batch.BatchSimulator`, which interleaves the instances
-over span boundaries under one shared schedule plan.  Each point's record
+points that differ only in ``horizon_cycles`` share one prepared simulation,
+which :meth:`~repro.sim.simulator.Simulator.run_to_stops` runs once to the
+deepest horizon, one group after another.  Each point's record
 is snapshotted the instant its horizon is reached, through exactly the same
 post-processing as :func:`run_point`, so batched artifacts are
 byte-identical to per-instance ones (``tests/sweep/test_batch.py`` pins
@@ -69,6 +68,7 @@ from repro.obs import tracing
 from repro.obs.metrics import KERNEL_STAT_KEYS, CounterSet, MetricsRegistry
 from repro.obs.profile import PhaseTimer
 from repro.power.model import PowerModel
+from repro.sim.simulator import SimulationError, Simulator, StopCallback
 from repro.sweep.campaign import CampaignSpec, ShardSpec, SweepPoint, expand_campaign
 from repro.workloads.registry import (
     BatchUnsupported,
@@ -126,8 +126,7 @@ class CampaignResult:
     #: (``{"reason": ..., "points": [indices]}``), recorded in the manifest
     #: next to ``batched_points`` and surfaced in the CLI summary.
     batch_fallbacks: List[Dict[str, object]] = field(default_factory=list)
-    #: The resolved batch backend name (``"python"``/``"numpy"``; ``None``
-    #: when nothing ran batched).
+    #: Always ``None``; kept only because ``perfbench/rep.py`` reads it.
     backend: Optional[str] = None
     #: Points whose execution raised: one structured record per failure
     #: (see :func:`_failed_record`), sorted by index.  Failed points are
@@ -237,8 +236,8 @@ class ChunkOutcome:
     batching bookkeeping (how many points actually shared a prepared
     simulation, and why any group fell back to per-instance execution).
     Under ``trace=``/``profile=`` the task additionally ships its telemetry
-    home: worker-summed phase seconds, summed kernel stats, batch rounds,
-    and (when this process owned its tracer) the buffered trace events."""
+    home: worker-summed phase seconds, summed kernel stats, and (when this
+    process owned its tracer) the buffered trace events."""
 
     results: List[PointResult] = field(default_factory=list)
     fallbacks: List[Dict[str, object]] = field(default_factory=list)
@@ -251,8 +250,6 @@ class ChunkOutcome:
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Summed ``kernel_stats`` across the chunk's simulations.
     kernel_stats: Dict[str, int] = field(default_factory=dict)
-    #: Batch scheduling rounds this chunk executed (batched path only).
-    rounds: int = 0
     #: Buffered Chrome trace events from a worker-owned tracer (empty when
     #: the parent owns the tracer — serial mode — or tracing is off).
     trace_events: List[Dict[str, object]] = field(default_factory=list)
@@ -268,14 +265,13 @@ class ChunkOutcome:
 
 class _ChunkTelemetry:
     """One chunk task's telemetry accumulators (phase timer, kernel-stat
-    totals, batch rounds); ``None`` stands for telemetry-off everywhere."""
+    totals); ``None`` stands for telemetry-off everywhere."""
 
-    __slots__ = ("timer", "kernel", "rounds")
+    __slots__ = ("timer", "kernel")
 
     def __init__(self) -> None:
         self.timer = PhaseTimer()
         self.kernel = CounterSet(KERNEL_STAT_KEYS)
-        self.rounds = 0
 
 
 def _chunk_scope(trace: bool, profile: bool):
@@ -302,7 +298,6 @@ def _finish_chunk(
     if tele is not None:
         outcome.phase_seconds = {name: s for name, s in tele.timer.as_dict().items() if s > 0.0}
         outcome.kernel_stats = tele.kernel.snapshot()
-        outcome.rounds = tele.rounds
     if owned_tracer is not None:
         outcome.trace_events = owned_tracer.drain()
         outcome.dropped_events = owned_tracer.dropped
@@ -420,20 +415,20 @@ def _fallback_record(group: Sequence[SweepPoint], reason: str) -> Dict[str, obje
 
 
 def _enroll_group(
-    batch,
     group: Sequence[SweepPoint],
     results: List[PointResult],
     tele: Optional["_ChunkTelemetry"] = None,
     cache=None,
-) -> Optional[Dict[str, float]]:
-    """Prepare one shared-prefix group and register its snapshot stops.
+) -> Optional[Tuple[Simulator, List[Tuple[int, StopCallback]], str]]:
+    """Prepare one shared-prefix group and build its snapshot stops.
 
-    Returns the group's wall clock; the caller restamps it when the batch
-    actually starts running so no group is charged another group's
-    preparation time.  Raises :class:`BatchUnsupported` (from the scenario's
-    batch-prepare hook) or :class:`SimulationError` (from enrollment) when
-    the group cannot share a prepared instance — the caller falls back to
-    per-instance execution for just that group.
+    Returns ``(simulator, stops, label)`` for the caller to hand to
+    :meth:`~repro.sim.simulator.Simulator.run_to_stops` right away, or
+    ``None`` when the plan cache served every horizon.  Raises
+    :class:`BatchUnsupported` or :class:`SimulationError` (from the
+    scenario's batch-prepare hook) when the group cannot share a prepared
+    instance — the caller falls back to per-instance execution for just
+    that group.
 
     With a ``cache`` (:class:`~repro.cache.PlanCache`), every horizon that
     has an exact-match snapshot is served straight from the cache: the
@@ -476,8 +471,7 @@ def _enroll_group(
                 base = restored.base_tick
     if pending and prepared is None:
         prepared = spec.batch_prepare(horizons, first.dense, **dict(first.params))
-    # Wall-clock attribution under interleaving is approximate by nature:
-    # each stop is charged the time since this instance's previous stop
+    # Each stop is charged the time since this instance's previous stop
     # (manifest diagnostics only — never part of the comparable payload).
     clock = {"last": time.perf_counter()}
 
@@ -495,7 +489,7 @@ def _enroll_group(
             if tele is not None:
                 tele.timer.add("cache", time.perf_counter() - publish_start)
 
-    # Snapshot-served horizons finalize right now — BatchInstance stops must
+    # Snapshot-served horizons finalize right now — run_to_stops stops must
     # be at least one cycle out, and these have nothing left to simulate.
     # Shallow-first keeps the (manifest-only) wall attribution in the same
     # order a cold run would charge it; results are re-sorted by index
@@ -503,6 +497,7 @@ def _enroll_group(
     for horizon, instance in sorted(served):
         finalize(instance, horizon, tuple(by_horizon[horizon]))
 
+    run = None
     if pending:
         # Merge the scenario's drive script (mid-run testbench interference,
         # e.g. watchdog-recovery's fault injection) into the stop schedule.
@@ -531,9 +526,9 @@ def _enroll_group(
 
             return fire
 
-        # Stop cycles are instance-relative (measured from enrollment); a
-        # warm instance enrolls at ``base``, so every remaining absolute
-        # cycle shifts down by it.
+        # Stop cycles are relative to the start of the run; a warm instance
+        # starts at ``base``, so every remaining absolute cycle shifts down
+        # by it.
         stops = [(horizon - base, stop_at(horizon)) for horizon in pending]
         for cycle, callbacks in drives_by_cycle.items():
 
@@ -542,13 +537,13 @@ def _enroll_group(
                     drive(base + elapsed)
 
             stops.append((cycle - base, fire_drives))
-        batch.add(prepared.simulator, stops, label=f"{first.scenario}#{first.index}")
+        run = (prepared.simulator, stops, f"{first.scenario}#{first.index}")
     elif tele is not None and served:
-        # The whole group was served from snapshots; no simulator of its
-        # enters the batch, so absorb kernel stats here instead of in the
-        # caller's post-run sweep over ``batch.instances``.  Only the
-        # deepest restore counts — it carries the group's fullest history,
-        # and summing overlapping histories would inflate the counters.
+        # The whole group was served from snapshots and nothing runs, so
+        # absorb kernel stats here instead of after the caller's run.  Only
+        # the deepest restore counts — it carries the group's fullest
+        # history, and summing overlapping histories would inflate the
+        # counters.
         tele.kernel.add(served[0][1].simulator.kernel_stats)
     if tracer is not None:
         tracer.event(
@@ -563,32 +558,29 @@ def _enroll_group(
                 "warm_base": base,
             },
         )
-    return clock
+    return run
 
 
 def run_point_groups(
     groups: Sequence[Sequence[SweepPoint]],
-    backend: Optional[str] = None,
     trace: bool = False,
     profile: bool = False,
     plan_cache: Optional[str] = None,
 ) -> ChunkOutcome:
     """Pool task: execute one chunk of shared-prefix groups, batched.
 
-    All of the chunk's instances advance through one
-    :class:`~repro.sim.batch.BatchSimulator` — in lockstep over span
-    boundaries, under one shared schedule plan, on the requested backend —
-    and every point's record is snapshotted exactly when its horizon is
-    reached.  A group whose batch-prepare hook declines
-    (:class:`BatchUnsupported` — e.g. heterogeneous derived parameters) or
-    whose enrollment fails runs per-instance inside this same task, with the
-    reason recorded in the outcome's ``fallbacks``.  ``plan_cache`` (a
-    directory path) warm-starts groups from published prepared-state
-    snapshots and publishes new ones; see :mod:`repro.cache.plan_cache`.
+    Groups run one after another: each is prepared (or restored from the
+    plan cache) and then run through
+    :meth:`~repro.sim.simulator.Simulator.run_to_stops`, and every point's
+    record is snapshotted exactly when its horizon is reached.  A group
+    whose batch-prepare hook declines (:class:`BatchUnsupported` — e.g.
+    heterogeneous derived parameters) runs per-instance inside this same
+    task, with the reason recorded in the outcome's ``fallbacks``.  A group
+    whose run raises loses only its own points that had not been
+    snapshotted yet.  ``plan_cache`` (a directory path) warm-starts groups
+    from published prepared-state snapshots and publishes new ones; see
+    :mod:`repro.cache.plan_cache`.
     """
-    from repro.sim.batch import BatchSimulator
-    from repro.sim.simulator import SimulationError
-
     tele, tracer, owned = _chunk_scope(trace, profile)
     cache = None
     if plan_cache is not None:
@@ -596,53 +588,44 @@ def run_point_groups(
 
         cache = PlanCache(plan_cache)
     try:
-        batch = BatchSimulator(backend=backend)
         outcome = ChunkOutcome()
         results = outcome.results
-        clocks = []
-        enrolled: List[SweepPoint] = []
         for group in groups:
             try:
                 if tele is None:
-                    clocks.append(_enroll_group(batch, group, results, cache=cache))
+                    run = _enroll_group(group, results, cache=cache)
                 else:
                     with tele.timer.phase("prepare"):
-                        clocks.append(
-                            _enroll_group(batch, group, results, tele=tele, cache=cache)
-                        )
+                        run = _enroll_group(group, results, tele=tele, cache=cache)
             except (BatchUnsupported, SimulationError) as exc:
                 outcome.fallbacks.append(_fallback_record(group, str(exc)))
                 for point in group:
                     _run_point_guarded(point, outcome, tele)
-            else:
-                outcome.batched_points += len(group)
-                enrolled.extend(group)
-        # Restamp every group's clock at the common start line: enrollment
-        # built the other groups' SoCs in between, and that cost must not
-        # land on the first group's first stop.
-        start = time.perf_counter()
-        for clock in clocks:
-            clock["last"] = start
-        finalize_before = tele.timer.seconds["finalize"] if tele is not None else 0.0
-        try:
-            batch.run()
-        except Exception as exc:
-            # A mid-run batch failure loses only the enrolled points whose
-            # horizons had not been snapshotted yet; everything already
-            # snapshotted (and every fallback result) survives in ``results``.
-            done = {result.index for result in results}
-            lost = [point for point in enrolled if point.index not in done]
-            outcome.failures.extend(_failed_record(point, exc) for point in lost)
-            outcome.batched_points -= len(lost)
-        if tele is not None:
-            # The stop callbacks finalize point records mid-run; that time
-            # is already charged to "finalize", so "simulate" gets the rest.
-            run_wall = time.perf_counter() - start
-            finalized = tele.timer.seconds["finalize"] - finalize_before
-            tele.timer.add("simulate", max(run_wall - finalized, 0.0))
-            tele.rounds += batch.rounds
-            for instance in batch.instances:
-                tele.kernel.add(instance.simulator.kernel_stats)
+                continue
+            outcome.batched_points += len(group)
+            if run is None:
+                continue
+            simulator, stops, label = run
+            start = time.perf_counter()
+            finalize_before = tele.timer.seconds["finalize"] if tele is not None else 0.0
+            try:
+                simulator.run_to_stops(stops, label=label)
+            except Exception as exc:
+                # Only this group's points whose horizons had not been
+                # snapshotted yet are lost; everything already snapshotted
+                # (and every other group) survives in ``results``.
+                done = {result.index for result in results}
+                lost = [point for point in group if point.index not in done]
+                outcome.failures.extend(_failed_record(point, exc) for point in lost)
+                outcome.batched_points -= len(lost)
+            if tele is not None:
+                # The stop callbacks finalize point records mid-run; that
+                # time is already charged to "finalize", so "simulate" gets
+                # the rest.
+                run_wall = time.perf_counter() - start
+                finalized = tele.timer.seconds["finalize"] - finalize_before
+                tele.timer.add("simulate", max(run_wall - finalized, 0.0))
+                tele.kernel.add(simulator.kernel_stats)
         if cache is not None:
             outcome.cache_stats = cache.counters.as_dict()
             outcome.cache_notes = list(cache.notes)
@@ -699,7 +682,6 @@ def execute_campaign(
     reuse: Optional[Mapping[int, PointResult]] = None,
     shard: Optional[ShardSpec] = None,
     batch: Optional[bool] = None,
-    backend: Optional[str] = None,
     trace: bool = False,
     profile: bool = False,
     plan_cache: Optional[str] = None,
@@ -718,10 +700,7 @@ def execute_campaign(
     batch-prepare hook, ``True`` requests it, ``False`` forces the
     per-instance path.  Groups (or whole scenarios) that cannot batch fall
     back to per-instance execution with the reason recorded in
-    ``batch_fallbacks`` — never silently.  ``backend`` picks the batch
-    kernel loop (``None``/``"auto"`` → numpy when importable, else the
-    python reference; see :mod:`repro.sim.backend`); the resolved name is
-    recorded on the result.  ``progress`` (if given) is called after each
+    ``batch_fallbacks`` — never silently.  ``progress`` (if given) is called after each
     completed point with ``(completed, total, result)`` where ``total`` is
     the shard-local point count — note that under sharding or batching the
     completion *order* is nondeterministic even though the aggregated
@@ -746,14 +725,6 @@ def execute_campaign(
     if chunk is not None and chunk < 1:
         raise ValueError("chunk must be at least 1")
     use_batch = batch is not False and scenario(spec.scenario).batch_prepare is not None
-    backend_name: Optional[str] = None
-    if use_batch:
-        from repro.sim.backend import resolve_backend
-
-        # Resolve up front: an explicit --backend numpy without numpy must
-        # fail loudly before any point runs, and the workers must all use
-        # the concrete backend the parent resolved (not re-resolve "auto").
-        backend_name = resolve_backend(backend).name
     telemetry = trace or profile
     timer = PhaseTimer() if telemetry else None
     kernel_totals = CounterSet(KERNEL_STAT_KEYS) if telemetry else None
@@ -792,7 +763,6 @@ def execute_campaign(
         chunks: List = _chunked_groups(batch_groups(points), chunk_size)
         task: Callable = partial(
             run_point_groups,
-            backend=backend_name,
             trace=trace,
             profile=profile,
             plan_cache=plan_cache,
@@ -804,21 +774,19 @@ def execute_campaign(
     # the aggregated artifacts are independent of the pool geometry anyway.
     workers = min(jobs, os.cpu_count() or 1, len(chunks))
     batched_points = 0
-    batch_rounds = 0
     trace_events: List[Dict[str, object]] = []
     trace_dropped = 0
     cache_totals: Dict[str, int] = {"hits": 0, "misses": 0, "writes": 0, "errors": 0}
     cache_notes: List[str] = []
 
     def collect(outcome: ChunkOutcome) -> None:
-        nonlocal batched_points, batch_rounds, trace_dropped
+        nonlocal batched_points, trace_dropped
         batched_points += outcome.batched_points
         fallbacks.extend(outcome.fallbacks)
         failed.extend(outcome.failures)
         if timer is not None:
             timer.merge(outcome.phase_seconds)
             kernel_totals.add(outcome.kernel_stats)
-            batch_rounds += outcome.rounds
         trace_events.extend(outcome.trace_events)
         trace_dropped += outcome.dropped_events
         for name, value in outcome.cache_stats.items():
@@ -855,7 +823,6 @@ def execute_campaign(
         registry.counter("sweep.points", {"kind": "reused"}).inc(len(results) - computed)
         registry.counter("sweep.points", {"kind": "batched"}).inc(batched_points)
         registry.counter("sweep.points", {"kind": "failed"}).inc(len(failed))
-        registry.counter("batch.rounds").inc(batch_rounds)
         if plan_cache is not None:
             registry.counter("cache.hit").inc(cache_totals["hits"])
             registry.counter("cache.miss").inc(cache_totals["misses"])
@@ -890,7 +857,6 @@ def execute_campaign(
         batched_points=batched_points,
         batch_fallbacks=fallbacks,
         failed_points=failed,
-        backend=backend_name if batched_points else None,
         telemetry=telemetry_payload,
         trace_events=trace_events,
         trace_dropped=trace_dropped,

@@ -24,8 +24,8 @@ additionally register a *batch-prepare* hook
 (:func:`register_batch_prepare`): a callable taking ``(horizons, dense,
 **params)`` that validates every requested horizon, builds the scenario
 once for the largest, and returns a :class:`PreparedScenario`.  The sweep
-layer's ``--batch`` mode advances such prepared instances through
-:class:`repro.sim.batch.BatchSimulator` and snapshots
+layer's ``--batch`` mode runs such a prepared instance through
+:meth:`repro.sim.simulator.Simulator.run_to_stops` and snapshots
 :meth:`PreparedScenario.outcome` at each point's horizon — one simulation
 serving every point that shares its parameters, byte-identical to running
 each point alone (the simulation is deterministic and a shorter horizon is

@@ -1,23 +1,20 @@
-"""Kernel-level tests for batched multi-instance execution.
+"""Kernel-level tests for batched (prefix-shared) execution.
 
 Covers the two halves of the plan/state split:
 
 * :class:`repro.sim.SchedulePlan` interning — simulators of identical
   topology share one immutable plan object, and per-instance mutation
   (deadline heaps, volatile-list reordering) never leaks across instances;
-* :class:`repro.sim.BatchSimulator` — N instances advanced in lockstep over
-  span boundaries end in exactly the state of N standalone runs, and
-  mid-run stops observe exactly the state a standalone run of that horizon
-  would have finished in.
+* :meth:`repro.sim.Simulator.run_to_stops` — the kernel primitive behind
+  the sweep layer's ``--batch`` mode: a run through stops ends in exactly
+  the state of a standalone run, and every stop observes exactly the state
+  a standalone run of that horizon would have finished in.
 """
 
 import pytest
 
-from repro.sim import BatchSimulator, SimulationError, Simulator
-from repro.sim.backend import available_backends
+from repro.sim import SimulationError, Simulator
 from repro.sim.component import Component
-
-BACKENDS = available_backends()
 
 
 class Blinker(Component):
@@ -97,34 +94,26 @@ class TestPlanSharing:
 
 
 class TestBatchSimulator:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batched_instances_match_standalone_runs(self, backend):
-        # Heterogeneous periods and horizons: every instance must end in
-        # exactly the state of its own standalone run — on every backend.
-        configs = [([7, 50], 1_000), ([13, 990], 2_500), ([1, 3], 311)]
-        solo = []
-        for periods, horizon in configs:
-            simulator, blinkers = _build(periods)
-            simulator.step(horizon)
-            solo.append([(b.pulses, b.idle_cycles, b.countdown) for b in blinkers])
+    """Batched execution through :meth:`Simulator.run_to_stops`."""
 
-        batch = BatchSimulator(backend=backend)
-        batched_states = []
+    def test_batched_instances_match_standalone_runs(self, numpy_presence):
+        # Heterogeneous periods and horizons: every run through stops must
+        # end in exactly the state of its own standalone run, with or
+        # without numpy installed.
+        configs = [([7, 50], 1_000), ([13, 990], 2_500), ([1, 3], 311)]
         for periods, horizon in configs:
+            solo_sim, solo_blinkers = _build(periods)
+            solo_sim.step(horizon)
             simulator, blinkers = _build(periods)
-            batched_states.append(blinkers)
-            batch.add(simulator, [(horizon, lambda elapsed: None)])
-        batch.run()
-        assert batch.backend_name == backend
-        batched = [
-            [(b.pulses, b.idle_cycles, b.countdown) for b in blinkers]
-            for blinkers in batched_states
-        ]
-        assert batched == solo
+            simulator.run_to_stops([(horizon, lambda elapsed: None)])
+            batched = [(b.pulses, b.idle_cycles, b.countdown) for b in blinkers]
+            solo = [(b.pulses, b.idle_cycles, b.countdown) for b in solo_blinkers]
+            assert batched == solo
+            assert simulator.current_cycle == horizon
 
     def test_stops_observe_the_exact_standalone_state(self):
         # A stop at cycle k must see the state a standalone step(k) produces,
-        # even though the instance keeps running to a larger horizon.
+        # even though the run continues to a larger horizon.
         stops_at = [311, 1_000, 2_048]
         solo_states = []
         for horizon in stops_at:
@@ -138,89 +127,51 @@ class TestBatchSimulator:
         def snapshot(elapsed):
             seen[elapsed] = (blinker.pulses, blinker.idle_cycles, blinker.countdown)
 
-        batch = BatchSimulator()
-        batch.add(simulator, [(cycles, snapshot) for cycles in stops_at])
-        batch.run()
+        # Given out of order: run_to_stops fires them sorted by cycle.
+        simulator.run_to_stops([(cycles, snapshot) for cycles in reversed(stops_at)])
+        assert list(seen) == stops_at
         assert [seen[cycles] for cycles in stops_at] == solo_states
         assert simulator.current_cycle == stops_at[-1]
+
+    def test_stops_count_from_the_current_cycle(self):
+        simulator, _ = _build([7])
+        simulator.step(100)
+        seen = []
+        simulator.run_to_stops([(50, lambda elapsed: seen.append((elapsed, simulator.current_cycle)))])
+        assert seen == [(50, 150)]
 
     def test_dense_instances_are_supported(self):
         simulator, (blinker,) = _build([10])
         simulator.dense = True
-        batch = BatchSimulator()
-        batch.add(simulator, [(100, lambda elapsed: None)])
-        batch.run()
+        simulator.run_to_stops([(100, lambda elapsed: None)])
         assert blinker.pulses == 10
         assert simulator.kernel_stats["dense_ticks"] == 100
 
-    def test_rounds_interleave_instances(self):
-        batch = BatchSimulator()
-        for _ in range(3):
-            simulator, _ = _build([10])
-            batch.add(simulator, [(1_000, lambda elapsed: None)])
-        batch.run()
-        # Lockstep: the batch needed one round per span boundary, not one
-        # round per instance.
-        assert batch.rounds >= 100
-
     def test_stop_validation(self):
         simulator, _ = _build([10])
-        batch = BatchSimulator()
         with pytest.raises(SimulationError, match="at least one stop"):
-            batch.add(simulator, [])
+            simulator.run_to_stops([])
         with pytest.raises(SimulationError, match="at least one cycle"):
-            batch.add(simulator, [(0, lambda elapsed: None)])
-        with pytest.raises(SimulationError, match="duplicate batch stop"):
-            batch.add(simulator, [(5, lambda elapsed: None), (5, lambda elapsed: None)])
-
-    def test_double_enrollment_is_rejected(self):
-        simulator, _ = _build([10])
-        batch = BatchSimulator()
-        batch.add(simulator, [(10, lambda elapsed: None)])
-        with pytest.raises(SimulationError, match="already enrolled"):
-            batch.add(simulator, [(20, lambda elapsed: None)])
+            simulator.run_to_stops([(0, lambda elapsed: None)])
+        with pytest.raises(SimulationError, match="duplicate stop"):
+            simulator.run_to_stops([(5, lambda elapsed: None), (5, lambda elapsed: None)])
+        # Validation happens before any cycle runs.
+        assert simulator.current_cycle == 0
 
     def test_callback_advancing_the_simulator_is_detected(self):
         simulator, _ = _build([10])
-        batch = BatchSimulator()
-        batch.add(simulator, [(50, lambda elapsed: simulator.step(1))])
         with pytest.raises(SimulationError, match="advanced the simulator"):
-            batch.run()
+            simulator.run_to_stops([(50, lambda elapsed: simulator.step(1))], label="meddler")
 
-    def test_mid_run_enrollment_is_rejected(self):
-        # add() during run() would give the new instance a partial round and
-        # desynchronise the lockstep; it must fail loudly, not corrupt state.
+    def test_zero_progress_raises_instead_of_spinning(self, numpy_presence):
+        # Regression: a run whose advance_span returns 0 (mis-wired wake
+        # scheduling) must raise, naming the label, its elapsed cycle, and
+        # the pending stop, instead of spinning forever.
         simulator, _ = _build([10])
-        batch = BatchSimulator()
-
-        def sneak(elapsed):
-            extra, _ = _build([10])
-            batch.add(extra, [(10, lambda e: None)])
-
-        batch.add(simulator, [(20, sneak)])
-        with pytest.raises(SimulationError, match="while the batch is running"):
-            batch.run()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_progress_raises_instead_of_spinning(self, backend):
-        # Regression: a live instance whose advance_span returns 0 (mis-wired
-        # wake scheduling) used to spin run() forever.  It must raise,
-        # naming the instance, its elapsed cycle, and the pending stop.
-        simulator, _ = _build([10])
-        simulator.dense = True  # both backends route dense via advance_span
-        batch = BatchSimulator(backend=backend)
-        batch.add(simulator, [(50, lambda elapsed: None)], label="stuck-instance")
         simulator.state.advance_span = lambda limit, dense=False: 0
         with pytest.raises(SimulationError) as excinfo:
-            batch.run()
+            simulator.run_to_stops([(50, lambda elapsed: None)], label="stuck-instance")
         message = str(excinfo.value)
         assert "stuck-instance" in message
         assert "elapsed cycle 0" in message
         assert "cycle 50" in message
-
-    def test_backend_selection_validates_names(self):
-        simulator, _ = _build([10])
-        batch = BatchSimulator(backend="fortran")
-        batch.add(simulator, [(10, lambda elapsed: None)])
-        with pytest.raises(SimulationError, match="unknown batch backend"):
-            batch.run()

@@ -1,8 +1,8 @@
-"""One canonical kernel_stats key set across every kernel and backend.
+"""One canonical kernel_stats key set across every kernel mode.
 
 ``repro.obs.metrics.KERNEL_STAT_KEYS`` is the single definition of the
 scheduler-counter contract: the dense kernel, the cached event-driven
-kernel, the legacy uncached kernel, and every batch backend must produce
+kernel, the legacy uncached kernel, and ``run_to_stops`` must produce
 ``kernel_stats`` with exactly this key set — no more, no fewer.  The
 telemetry layer (``MetricsRegistry.absorb_kernel_stats``, sweep manifests,
 ``repro.run stats``) aggregates these dicts blindly across workers and
@@ -14,11 +14,8 @@ the set and the fail-fast behaviour of the fixed-key ``CounterSet``.
 import pytest
 
 from repro.obs.metrics import KERNEL_STAT_KEYS, CounterSet
-from repro.sim import BatchSimulator, Simulator
-from repro.sim.backend import available_backends
+from repro.sim import Simulator
 from repro.sim.component import Component
-
-BACKENDS = available_backends()
 
 HORIZON = 2_000
 
@@ -73,17 +70,14 @@ class TestCanonicalKeySet:
     def test_dense_kernel(self):
         assert tuple(_run_kernel(dense=True)) == KERNEL_STAT_KEYS
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_backends(self, backend):
-        batch = BatchSimulator(backend=backend)
-        for period in (7, 11):
-            simulator = Simulator()
-            simulator.add_component(Pulse(period))
-            batch.add(simulator, [(HORIZON, lambda elapsed: None)])
-        batch.run()
-        assert batch.backend_name == backend
-        for instance in batch.instances:
-            assert tuple(instance.simulator.kernel_stats) == KERNEL_STAT_KEYS
+    def test_batch_backends(self, numpy_presence):
+        # Batched execution (run_to_stops) is one pure-python loop whether
+        # or not numpy is installed; both report the canonical key set.
+        for dense in (False, True):
+            simulator = Simulator(dense=dense)
+            simulator.add_component(Pulse(7))
+            simulator.run_to_stops([(HORIZON // 2, lambda elapsed: None), (HORIZON, lambda elapsed: None)])
+            assert tuple(simulator.kernel_stats) == KERNEL_STAT_KEYS
 
 
 class TestFixedKeyContract:

@@ -187,12 +187,14 @@ class TestRestoreOracle:
         assert simulator._state.bound_plan is plan
         assert restored.plan_shared is True
 
-    def test_snapshot_is_backend_neutral(self):
+    def test_snapshot_drops_the_active_component_marker(self):
         prepared = _prepare()
         prepared.simulator.step(HORIZONS[0])
-        state = pickle.loads(pickle.dumps(prepared.simulator._state))
-        assert state._wake_row is None
-        assert state._active_component is None
+        state = prepared.simulator._state
+        state._active_component = prepared.simulator.components[0]
+        restored = pickle.loads(pickle.dumps(state))
+        assert restored._active_component is None
+        assert restored.deadlines == state.deadlines
 
     @settings(max_examples=8, deadline=None)
     @given(

@@ -17,6 +17,7 @@ from repro.sweep.artifacts import write_artifacts
 from repro.sweep.campaign import CampaignSpec, ShardSpec
 from repro.sweep.execute import execute_campaign
 from repro.sweep.merge import merge_shards, write_merged_artifacts
+from repro.sweep.resume import load_reusable_results
 
 SPEC = CampaignSpec(
     name="store-ingest-test",
@@ -194,3 +195,28 @@ class TestShardAndMergedIngest:
         assert row["kind"] == "merged"
         sources = json.loads(row["merged_from"])
         assert len(sources) == 2
+
+
+class TestLegacyManifests:
+    def test_manifests_with_backend_fields_still_load(self, tmp_path, store):
+        """Older manifests carry ``execution.backend`` and a ``batch.rounds``
+        telemetry counter.  Resume, merge and ingest must still read them."""
+        shard_dirs = []
+        for index in range(2):
+            result = execute_campaign(SPEC, jobs=1, shard=ShardSpec(index=index, count=2), profile=True)
+            write_artifacts(SPEC, result, tmp_path / f"shard{index}")
+            shard_dirs.append(tmp_path / f"shard{index}" / SPEC.name)
+        for campaign_dir in shard_dirs:
+            path = campaign_dir / "manifest.json"
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            manifest["execution"]["backend"] = "numpy"
+            manifest["execution"]["telemetry"]["metrics"]["counter"]["batch.rounds"] = 17
+            path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+
+        assert len(load_reusable_results(SPEC, tmp_path / "shard0")) == 2
+        merged = merge_shards(shard_dirs)
+        assert merged.result.n_points == 4
+        assert merged.result.telemetry["metrics"]["counter"]["batch.rounds"] == 34
+        report = ingest_directories(store, shard_dirs)
+        assert report.ok
+        assert report.inserted == 4

@@ -22,11 +22,8 @@ from repro.obs.metrics import KERNEL_STAT_KEYS
 from repro.obs.profile import SWEEP_PHASES
 from repro.obs.traceio import validate_trace_file
 from repro.run import _resolve_trace_path, main
-from repro.sim.backend import available_backends
 from repro.sweep import batch_groups, campaign, expand_campaign
 from repro.sweep.execute import run_point_groups, run_points
-
-BACKENDS = available_backends()
 
 RESULT_ARTIFACTS = ("results.json", "results.csv")
 
@@ -48,12 +45,9 @@ def _manifest(campaign_dir):
 
 
 class TestTelemetryNeutrality:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_result_artifacts_are_byte_identical(self, tmp_path, backend):
-        plain = _run_sweep(tmp_path / "plain", "--backend", backend)
-        traced = _run_sweep(
-            tmp_path / "traced", "--backend", backend, "--trace-out", "trace.json", "--profile"
-        )
+    def test_result_artifacts_are_byte_identical(self, tmp_path, numpy_presence):
+        plain = _run_sweep(tmp_path / "plain")
+        traced = _run_sweep(tmp_path / "traced", "--trace-out", "trace.json", "--profile")
         for artifact in RESULT_ARTIFACTS:
             assert (traced / artifact).read_bytes() == (plain / artifact).read_bytes()
 
@@ -73,7 +67,7 @@ class TestTraceAndProfileArtifacts:
         assert trace_block["events"] == len(spans)
         names = {event["name"] for event in spans}
         # smoke batches its points, so the trace shows enrolment + batch.run
-        # lanes; kernel spans come from inside the batch instances.
+        # lanes; kernel spans come from inside the batched runs.
         assert {"sweep.campaign", "sweep.enroll", "batch.run", "kernel.plan"} <= names
 
     def test_profile_covers_the_sweep_phases_and_metrics_the_kernel(self, tmp_path):
@@ -218,7 +212,9 @@ class TestWorkerOwnedTracer:
         assert "sweep.enroll" in names and "batch.run" in names
         assert outcome.phase_seconds["prepare"] > 0
         assert outcome.phase_seconds["simulate"] > 0
-        assert outcome.rounds > 0
+        runs = [event for event in outcome.trace_events if event["name"] == "batch.run"]
+        assert len(runs) == len(groups)
+        assert all(set(run["args"]) == {"label", "stops", "cycles"} for run in runs)
 
     def test_profile_only_chunks_carry_no_trace_events(self):
         outcome = run_points(self._points(), trace=False, profile=True)
