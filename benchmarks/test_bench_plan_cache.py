@@ -1,21 +1,24 @@
-"""Plan/snapshot cache warm starts: the second run must not re-simulate.
+"""Plan-cache warm starts: the second run must not re-simulate.
 
 Runs the ``pipeline-clock-ratio`` campaign (56 points, 8 shared-prefix
 groups x 7 horizons) twice against one plan-cache directory:
 
 * **cold** — empty cache: every group prepares, simulates its full ladder,
-  and publishes a snapshot at each horizon stop in passing;
-* **warm** — same cache: every horizon has an exact-match snapshot, so each
-  point is served by restore + finalize with **zero simulated cycles**.
+  and publishes each point's finished record (a small JSON entry) as its
+  horizon stop passes;
+* **warm** — same cache: every horizon has a record, so each point is
+  served straight from it with **zero simulated cycles** — nothing is
+  restored and the power model does not run again.
 
-The warm run's cost is 56 unpickles plus finalization, so the speedup is
-bounded only by snapshot size, not horizon depth — on this campaign it
-measures an order of magnitude or more.  The CI floor asserts a deliberately
-conservative 1.3x (shared hosts jitter, and the floor must also hold for
-horizon-ladder shapes where a restore replaces less simulation); both the
-in-test assert and the CI perf-regression job check it.  Warm artifacts
-must be byte-identical to cold — pinned here on the comparable payload and
-for every registry campaign in ``tests/sweep/test_plan_cache_sweep.py``.
+The warm run's cost is 56 small JSON reads plus validation, so the speedup
+is bounded only by per-point overhead, not horizon depth — on this
+campaign it measures an order of magnitude or more.  The CI floor asserts a
+deliberately conservative 1.3x (shared hosts jitter, and the floor must
+also hold for horizon-ladder shapes where a record replaces less
+simulation); both the in-test assert and the CI perf-regression job check
+it.  Warm artifacts must be byte-identical to cold — pinned here on the
+comparable payload and for every registry campaign in
+``tests/sweep/test_plan_cache_sweep.py``.
 
 Results land in ``results/plan_cache_warm_speedup.txt`` and the
 ``plan_cache_warm_speedup`` section of ``results/BENCH_kernel.json``.
@@ -55,9 +58,9 @@ def test_bench_plan_cache_warm_speedup(tmp_path, save_result, save_kernel_json):
     speedup = cold_seconds / max(warm_seconds, 1e-9)
     lines = [
         f"Plan-cache warm start on {CAMPAIGN} ({spec.n_points} points, "
-        f"{cold.cache['writes']} snapshots published):",
+        f"{cold.cache['writes']} records published):",
         f"  cold (empty cache)     : {cold_seconds * 1e3:8.1f} ms",
-        f"  warm (all snapshots)   : {warm_seconds * 1e3:8.1f} ms ({speedup:.2f}x)",
+        f"  warm (all records)     : {warm_seconds * 1e3:8.1f} ms ({speedup:.2f}x)",
         f"  warm cache counters    : {warm.cache['hits']} hits, "
         f"{warm.cache['misses']} misses, {warm.cache['errors']} errors",
         f"  artifacts              : byte-identical",
@@ -69,7 +72,7 @@ def test_bench_plan_cache_warm_speedup(tmp_path, save_result, save_kernel_json):
         {
             "campaign": CAMPAIGN,
             "n_points": spec.n_points,
-            "snapshots_published": cold.cache["writes"],
+            "records_published": cold.cache["writes"],
             "cold_seconds": cold_seconds,
             "warm_seconds": warm_seconds,
             "warm_hits": warm.cache["hits"],

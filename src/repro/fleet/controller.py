@@ -134,7 +134,7 @@ class FleetConfig:
     #: failures degrade to ledger notes — the store is an accelerant, never
     #: a dependency of campaign completion.
     store: Optional[Path] = None
-    #: Shared prepared-state snapshot cache directory passed to every worker
+    #: Shared point-record cache directory passed to every worker
     #: (``--plan-cache``).  ``None`` auto-provisions
     #: ``<out>/<campaign>/plan-cache`` — :func:`run_fleet` resolves it and
     #: writes the resolved path back here so every launch (including heal
@@ -244,9 +244,9 @@ def run_fleet(config: FleetConfig, spec: Optional[CampaignSpec] = None) -> Fleet
     log_dir = campaign_dir / "fleet-logs"
     transport = resolve_transport(config.transport)
     if config.plan_cache_enabled:
-        # One shared snapshot cache for the whole fleet: the first worker to
-        # reach a horizon publishes, every later worker (and every heal-round
-        # re-run) warm-starts from it.
+        # One shared record cache for the whole fleet: the first worker to
+        # reach a horizon publishes its record, every later worker (and
+        # every heal-round re-run) serves that point from it.
         if config.plan_cache is None:
             config.plan_cache = campaign_dir / "plan-cache"
         config.plan_cache.mkdir(parents=True, exist_ok=True)

@@ -193,9 +193,9 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
         "--plan-cache",
         default=None,
         metavar="DIR",
-        help="persistent prepared-state snapshot cache: batched groups "
-        "warm-start from snapshots published by earlier runs (any process) "
-        "and publish their own at every horizon stop; results "
+        help="persistent point-record cache: batched groups serve every "
+        "horizon whose JSON record an earlier run (any process) published, "
+        "simulate the rest from cycle 0 and publish their records; results "
         "are byte-identical to a cold run, hit/miss totals land in the "
         "manifest's execution.cache block; the fleet provisions one shared "
         "cache dir automatically",
@@ -764,9 +764,9 @@ def _build_fleet_parser() -> argparse.ArgumentParser:
         "--plan-cache",
         default=None,
         metavar="DIR",
-        help="shared prepared-state snapshot cache passed to every worker "
+        help="shared point-record cache passed to every worker "
         "(default: <out>/<campaign>/plan-cache, provisioned automatically); "
-        "warm workers skip preparation and the already-simulated prefix, "
+        "warm workers serve already-published points without simulating, "
         "and the ledger aggregates hit/miss totals fleet-wide",
     )
     parser.add_argument(

@@ -63,7 +63,6 @@ from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.area.model import PelsAreaModel
-from repro.cache.plan_cache import group_cache_key
 from repro.obs import tracing
 from repro.obs.metrics import KERNEL_STAT_KEYS, CounterSet, MetricsRegistry
 from repro.obs.profile import PhaseTimer
@@ -204,16 +203,25 @@ def _finalize_point(point: SweepPoint, outcome: ScenarioOutcome, wall: float) ->
         if soc.pels is not None and soc.config.pels_config is not None:
             area_kge = PelsAreaModel().estimate(soc.config.pels_config).as_dict()
 
+    record = {"stats": outcome.stats, "activity": activity, "power_uw": power_uw, "area_kge": area_kge}
+    return _point_result(point, record, wall)
+
+
+def _point_result(point: SweepPoint, record: Mapping[str, Mapping[str, object]], wall: float) -> PointResult:
+    """One point's result: its own identity plus the record fields that do
+    not depend on it (``stats``, ``activity``, ``power_uw``, ``area_kge``)
+    — freshly derived by :func:`_finalize_point` or served by the plan
+    cache."""
     return PointResult(
         index=point.index,
         scenario=point.scenario,
         horizon_cycles=point.horizon_cycles,
         params=dict(point.params),
         seed=point.seed,
-        stats=dict(outcome.stats),
-        activity=activity,
-        power_uw=power_uw,
-        area_kge=area_kge,
+        stats=dict(record["stats"]),
+        activity=dict(record["activity"]),
+        power_uw=dict(record["power_uw"]),
+        area_kge=dict(record["area_kge"]),
         wall_seconds=wall,
     )
 
@@ -431,15 +439,12 @@ def _enroll_group(
     that group.
 
     With a ``cache`` (:class:`~repro.cache.PlanCache`), every horizon that
-    has an exact-match snapshot is served straight from the cache: the
-    restore *is* the state at that horizon (a cold run's stop order is
-    drives-then-snapshot, so the snapshot already contains the stop's drive
-    effects), and its point records are finalized immediately at enrollment
-    without simulating a single cycle.  Horizons without an exact snapshot
-    are covered the classic way — one instance warm-started from the
-    deepest snapshot below the shallowest of them (or a cold prepare),
-    publishing fresh snapshots at every stop it reaches, which heals the
-    missing entries for the next run.
+    has a valid record is served straight from it: its points' results are
+    built from the record plus each point's own identity, with nothing
+    restored or simulated and no power estimate rerun.  The remaining
+    horizons are simulated by one cold instance from cycle 0, which
+    publishes each of their records as it passes it — healing the cache
+    for the next run.
     """
     first = group[0]
     spec = scenario(first.scenario)
@@ -449,69 +454,57 @@ def _enroll_group(
     for point in group:
         by_horizon.setdefault(point.horizon_cycles, []).append(point)
     horizons = sorted(by_horizon)
-    prepared = None
-    base = 0
     key = None
-    pending = list(horizons)
-    served: List[Tuple[int, object]] = []
-    if cache is not None:
-        key = group_cache_key(first.scenario, first.dense, dict(first.params), horizons)
-        for horizon in reversed(horizons):
-            restored = cache.lookup(key, horizon, exact=True)
-            if restored is not None:
-                served.append((horizon, restored.prepared))
-                pending.remove(horizon)
-        if pending:
-            # ``pending[0]`` itself cannot be on disk (its exact probe just
-            # missed), so the deepest usable base is strictly below it and
-            # every pending stop stays at least one cycle out.
-            restored = cache.lookup(key, pending[0])
-            if restored is not None:
-                prepared = restored.prepared
-                base = restored.base_tick
-    if pending and prepared is None:
-        prepared = spec.batch_prepare(horizons, first.dense, **dict(first.params))
-    # Each stop is charged the time since this instance's previous stop
+    pending = horizons
+    # Each point is charged the time since the previous stop of its group
     # (manifest diagnostics only — never part of the comparable payload).
     clock = {"last": time.perf_counter()}
+    if cache is not None:
+        from repro.cache.plan_cache import group_cache_key
 
-    def finalize(instance, elapsed: int, points: Sequence[SweepPoint]) -> None:
-        now = time.perf_counter()
-        wall, clock["last"] = now - clock["last"], now
-        outcome = instance.outcome(elapsed)
-        for point in points:
-            results.append(_finalize_point(point, outcome, wall))
-        if tele is not None:
-            tele.timer.add("finalize", time.perf_counter() - now)
-        if cache is not None:
-            publish_start = time.perf_counter()
-            cache.publish(key, instance, elapsed)
-            if tele is not None:
-                tele.timer.add("cache", time.perf_counter() - publish_start)
-
-    # Snapshot-served horizons finalize right now — run_to_stops stops must
-    # be at least one cycle out, and these have nothing left to simulate.
-    # Shallow-first keeps the (manifest-only) wall attribution in the same
-    # order a cold run would charge it; results are re-sorted by index
-    # anyway.
-    for horizon, instance in sorted(served):
-        finalize(instance, horizon, tuple(by_horizon[horizon]))
+        key = group_cache_key(first.scenario, first.dense, dict(first.params), horizons)
+        pending = []
+        for horizon in horizons:
+            points = by_horizon[horizon]
+            record = cache.lookup(key, horizon, points=len(points))
+            if record is None:
+                pending.append(horizon)
+                continue
+            now = time.perf_counter()
+            wall, clock["last"] = now - clock["last"], now
+            results.extend(_point_result(point, record, wall) for point in points)
 
     run = None
     if pending:
+        prepared = spec.batch_prepare(horizons, first.dense, **dict(first.params))
+        clock["last"] = time.perf_counter()
+
+        def finalize(elapsed: int, points: Sequence[SweepPoint]) -> None:
+            now = time.perf_counter()
+            wall, clock["last"] = now - clock["last"], now
+            outcome = prepared.outcome(elapsed)
+            finalized = [_finalize_point(point, outcome, wall) for point in points]
+            results.extend(finalized)
+            if tele is not None:
+                tele.timer.add("finalize", time.perf_counter() - now)
+            if cache is not None:
+                publish_start = time.perf_counter()
+                # The cache keeps only the fields that do not depend on the
+                # point, which are the same for every point of this horizon.
+                cache.publish(key, elapsed, vars(finalized[0]))
+                if tele is not None:
+                    tele.timer.add("cache", time.perf_counter() - publish_start)
+
         # Merge the scenario's drive script (mid-run testbench interference,
         # e.g. watchdog-recovery's fault injection) into the stop schedule.
         # A drive sharing a cycle with a snapshot stop fires first — exactly
         # the standalone order (interfere, then keep running / observe).
         # Drives beyond the deepest pending horizon are dropped: the
         # instance never simulates past it (deeper horizons were served from
-        # snapshots or not requested).  Drives at-or-before a restored base
-        # already fired in the run that published the snapshot — their
-        # effects are *in* the restored state — so replaying them would
-        # double-apply.
+        # the cache or not requested).
         drives_by_cycle: Dict[int, List[Callable[[int], None]]] = {}
         for cycle, callback in prepared.drive_stops():
-            if base < cycle <= pending[-1]:
+            if 0 < cycle <= pending[-1]:
                 drives_by_cycle.setdefault(cycle, []).append(callback)
 
         def stop_at(horizon: int) -> Callable[[int], None]:
@@ -519,32 +512,21 @@ def _enroll_group(
             points = tuple(by_horizon[horizon])
 
             def fire(elapsed: int) -> None:
-                absolute = base + elapsed
                 for drive in drives:
-                    drive(absolute)
-                finalize(prepared, absolute, points)
+                    drive(elapsed)
+                finalize(elapsed, points)
 
             return fire
 
-        # Stop cycles are relative to the start of the run; a warm instance
-        # starts at ``base``, so every remaining absolute cycle shifts down
-        # by it.
-        stops = [(horizon - base, stop_at(horizon)) for horizon in pending]
+        stops = [(horizon, stop_at(horizon)) for horizon in pending]
         for cycle, callbacks in drives_by_cycle.items():
 
             def fire_drives(elapsed: int, drives=tuple(callbacks)) -> None:
                 for drive in drives:
-                    drive(base + elapsed)
+                    drive(elapsed)
 
-            stops.append((cycle - base, fire_drives))
+            stops.append((cycle, fire_drives))
         run = (prepared.simulator, stops, f"{first.scenario}#{first.index}")
-    elif tele is not None and served:
-        # The whole group was served from snapshots and nothing runs, so
-        # absorb kernel stats here instead of after the caller's run.  Only
-        # the deepest restore counts — it carries the group's fullest
-        # history, and summing overlapping histories would inflate the
-        # counters.
-        tele.kernel.add(served[0][1].simulator.kernel_stats)
     if tracer is not None:
         tracer.event(
             "sweep.enroll",
@@ -555,7 +537,7 @@ def _enroll_group(
                 "scenario": first.scenario,
                 "points": len(group),
                 "horizons": len(horizons),
-                "warm_base": base,
+                "served": len(horizons) - len(pending),
             },
         )
     return run
@@ -569,7 +551,7 @@ def run_point_groups(
 ) -> ChunkOutcome:
     """Pool task: execute one chunk of shared-prefix groups, batched.
 
-    Groups run one after another: each is prepared (or restored from the
+    Groups run one after another: each is prepared (or served from the
     plan cache) and then run through
     :meth:`~repro.sim.simulator.Simulator.run_to_stops`, and every point's
     record is snapshotted exactly when its horizon is reached.  A group
@@ -577,9 +559,9 @@ def run_point_groups(
     heterogeneous derived parameters) runs per-instance inside this same
     task, with the reason recorded in the outcome's ``fallbacks``.  A group
     whose run raises loses only its own points that had not been
-    snapshotted yet.  ``plan_cache`` (a directory path) warm-starts groups
-    from published prepared-state snapshots and publishes new ones; see
-    :mod:`repro.cache.plan_cache`.
+    snapshotted yet.  ``plan_cache`` (a directory path) serves horizons
+    from point records published by earlier runs and publishes the records
+    of the horizons it simulates; see :mod:`repro.cache.plan_cache`.
     """
     tele, tracer, owned = _chunk_scope(trace, profile)
     cache = None
@@ -713,12 +695,14 @@ def execute_campaign(
     byte-identical with it on or off (``tests/sweep/test_telemetry.py``).
 
     ``plan_cache`` (``--plan-cache DIR``) points the batched path at a
-    persistent prepared-state snapshot cache: groups warm-start from
-    snapshots published by earlier runs (same campaign, another shard,
-    another fleet worker) and publish their own at every horizon stop.
-    The cache affects wall-clock only — warm artifacts are byte-identical
-    to cold ones (``tests/sweep/test_plan_cache_sweep.py``) — and its
-    hit/miss totals land in the result's ``cache`` block.
+    persistent point-record cache: each horizon whose record an earlier
+    run published (same campaign, another shard, another fleet worker) is
+    served from it without simulating, and every horizon simulated here
+    publishes its record.  The cache affects wall-clock only — warm
+    artifacts are byte-identical to cold ones
+    (``tests/sweep/test_plan_cache_sweep.py``) — and its hit/miss totals
+    (in points) land in the result's ``cache`` block.  Served points still
+    count as computed: the cache feeds execution, it is not ``--resume``.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")

@@ -1,6 +1,6 @@
 """Fleet-wide warm starts: shared plan-cache provisioning and aggregation.
 
-The fleet's contract with the snapshot cache: every worker (and every
+The fleet's contract with the point-record cache: every worker (and every
 heal-round re-run) is pointed at ONE shared cache directory — explicit
 ``--plan-cache`` or the auto-provisioned ``<out>/<campaign>/plan-cache`` —
 and workers run ``--profile`` so the ledger can fold each accepted shard's
@@ -87,12 +87,13 @@ class TestProvisioningAndAggregation:
         # Auto-provisioned next to the campaign artifacts, and populated.
         cache_dir = cold.campaign_dir / "plan-cache"
         assert cache_dir.is_dir()
-        snaps = sorted(cache_dir.rglob("*.snap"))
-        assert snaps, "cold fleet workers published no snapshots"
+        records = sorted(cache_dir.rglob("*.rec"))
+        assert len(records) == SMOKE.n_points, "one record per horizon of every group"
+        assert not list(cache_dir.rglob("*.snap"))
         payload = ledger_payload(cold)
         assert payload["config"]["plan_cache"] == str(cache_dir)
         counters = payload["metrics"]["counter"]
-        assert counters["cache.write"] == len(snaps)
+        assert counters["cache.write"] == len(records)
         assert "kernel.plan_builds" in counters  # --profile reached the manifest
 
         # A second fleet pointed at the same cache serves every point warm,

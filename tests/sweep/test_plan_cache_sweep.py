@@ -9,20 +9,25 @@ entries) must degrade to simulation and heal the cache, the manifest must
 record warm-run provenance, and the CLI flag must round-trip.
 """
 
+import hashlib
 import json
+import pickle
 
 import pytest
 
+from repro.cache import group_cache_key
 from repro.run import main
 from repro.sweep import (
     CampaignSpec,
     campaign,
     campaign_names,
     execute_campaign,
+    expand_campaign,
     results_payload,
     write_artifacts,
 )
-from repro.sweep.artifacts import manifest_payload
+from repro.sweep.execute import batch_groups
+from repro.sweep.artifacts import SCHEMA_VERSION, manifest_payload
 
 #: Registry campaigns small enough for per-test execution; fleet-scale's
 #: 1008 points are covered by one separate identity pass.
@@ -37,6 +42,46 @@ SMALL_SPEC = CampaignSpec(
         "sample_period_cycles": (1_000, 2_000),
     },
 )
+
+
+def _rewrite(path, **changes):
+    """Rewrite a record entry with ``changes``, recomputing its checksum so
+    only the changed field itself can be objected to."""
+    entry = json.loads(path.read_bytes())
+    entry.update(changes)
+    payload = {name: entry[name] for name in ("stats", "activity", "power_uw", "area_kge")}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    entry["sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(entry) + "\n")
+
+
+def _bump_a_stat(path):
+    entry = json.loads(path.read_bytes())
+    name = sorted(entry["stats"])[0]
+    entry["stats"][name] += 1
+    path.write_text(json.dumps(entry) + "\n")
+
+
+#: Damage kind -> the note fragment its named error carries.
+DAMAGE = {
+    "invalid-json": "invalid JSON",
+    "truncated": "truncated record",
+    "stale-schema": "stale record schema",
+    "wrong-key": "filed under",
+    "wrong-elapsed": "filed under cycle",
+    "checksum": "checksum mismatch",
+    "wrong-type": "wrong type",
+}
+
+DAMAGE_FUNCTIONS = {
+    "invalid-json": lambda path: path.write_bytes(b"{not json}\n"),
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:-30]),
+    "stale-schema": lambda path: _rewrite(path, schema=SCHEMA_VERSION + 1),
+    "wrong-key": lambda path: _rewrite(path, key="0" * 64),
+    "wrong-elapsed": lambda path: _rewrite(path, elapsed=json.loads(path.read_bytes())["elapsed"] + 1),
+    "checksum": _bump_a_stat,
+    "wrong-type": lambda path: _rewrite(path, activity={"cpu.cycles": "many"}),
+}
 
 
 def _payload_bytes(result):
@@ -98,28 +143,48 @@ class TestPartialCache:
 
     def test_missing_entries_are_simulated_and_healed(self, tmp_path):
         reference, cache_dir = self._populate(tmp_path)
-        snaps = sorted(cache_dir.rglob("*.snap"))
-        assert len(snaps) == 4
-        snaps[0].unlink()
-        snaps[-1].unlink()
+        records = sorted(cache_dir.rglob("*.rec"))
+        assert len(records) == 4
+        records[0].unlink()
+        records[-1].unlink()
         partial = execute_campaign(SMALL_SPEC, jobs=1, plan_cache=str(cache_dir))
         assert _payload_bytes(partial) == reference
+        assert partial.cache["hits"] == 2 and partial.cache["misses"] == 2
         assert partial.cache["writes"] == 2  # the gaps were republished
-        assert len(sorted(cache_dir.rglob("*.snap"))) == 4
+        assert partial.n_computed == 4  # served points count as computed
+        assert len(sorted(cache_dir.rglob("*.rec"))) == 4
         healed = execute_campaign(SMALL_SPEC, jobs=1, plan_cache=str(cache_dir))
         assert _payload_bytes(healed) == reference
         assert healed.cache["hits"] == 4 and healed.cache["writes"] == 0
 
     def test_corrupt_entries_fall_back_with_a_note(self, tmp_path):
         reference, cache_dir = self._populate(tmp_path)
-        snaps = sorted(cache_dir.rglob("*.snap"))
-        snaps[0].write_bytes(b"garbage")
-        snaps[1].write_bytes(snaps[1].read_bytes()[:40])
+        records = sorted(cache_dir.rglob("*.rec"))
+        records[0].write_bytes(b"garbage\n")
+        records[1].write_bytes(records[1].read_bytes()[:40])
         warm = execute_campaign(SMALL_SPEC, jobs=1, plan_cache=str(cache_dir))
         assert _payload_bytes(warm) == reference
         assert warm.cache["errors"] == 2
-        assert any("bad magic" in note for note in warm.cache["notes"])
-        assert any("truncated" in note for note in warm.cache["notes"])
+        assert any("invalid JSON" in note for note in warm.cache["notes"])
+        assert any("truncated record" in note for note in warm.cache["notes"])
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_every_damaged_entry_is_recomputed_identically(self, tmp_path, damage):
+        """Each kind of damaged entry is a named, counted error and a note;
+        the entry is evicted, its points are simulated byte-identically,
+        and the simulation publishes a good entry in its place."""
+        note = DAMAGE[damage]
+        reference, cache_dir = self._populate(tmp_path)
+        target = sorted(cache_dir.rglob("*.rec"))[1]
+        DAMAGE_FUNCTIONS[damage](target)
+        warm = execute_campaign(SMALL_SPEC, jobs=1, plan_cache=str(cache_dir))
+        assert _payload_bytes(warm) == reference
+        assert warm.cache["errors"] == 1
+        assert warm.cache["hits"] == 3 and warm.cache["misses"] == 1
+        assert [n for n in warm.cache["notes"] if note in n], warm.cache["notes"]
+        assert warm.cache["writes"] == 1  # evicted, then healed by the recompute
+        healed = execute_campaign(SMALL_SPEC, jobs=1, plan_cache=str(cache_dir))
+        assert healed.cache["hits"] == 4 and healed.cache["errors"] == 0
 
     def test_non_batchable_campaign_ignores_the_cache(self, tmp_path):
         spec = CampaignSpec(
@@ -134,6 +199,51 @@ class TestPartialCache:
             result = execute_campaign(spec, jobs=1, plan_cache=cache_dir)
             assert _payload_bytes(result) == reference
             assert result.cache["errors"] == 0 and result.cache["writes"] == 0
+
+
+class _MarkerPickle:
+    """Unpickling this creates ``path``: proof that a pickle was loaded."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+class TestNoPickleLoads:
+    def test_planted_pickles_are_never_loaded(self, tmp_path):
+        """A shared cache directory is untrusted input: pickles planted as
+        ``<elapsed>.snap`` and ``<elapsed>.rec`` under every real group key
+        must never be unpickled.  The ``.rec`` ones are counted errors and
+        the warm run stays byte-identical."""
+        marker = tmp_path / "pickle-was-loaded"
+        payload = pickle.dumps(_MarkerPickle(marker))
+        # The payload is live: unpickling it creates its marker.
+        probe = tmp_path / "probe"
+        pickle.loads(pickle.dumps(_MarkerPickle(probe))).close()
+        assert probe.exists()
+
+        reference = _payload_bytes(execute_campaign(SMALL_SPEC, jobs=1))
+        cache_dir = tmp_path / "cache"
+        planted = 0
+        for group in batch_groups(expand_campaign(SMALL_SPEC)):
+            first = group[0]
+            horizons = [point.horizon_cycles for point in group]
+            key = group_cache_key(first.scenario, first.dense, dict(first.params), horizons)
+            entry_dir = cache_dir / key[:2] / key
+            entry_dir.mkdir(parents=True)
+            for horizon in horizons:
+                (entry_dir / f"{horizon}.snap").write_bytes(payload)
+                (entry_dir / f"{horizon}.rec").write_bytes(payload)
+                planted += 1
+        assert planted == SMALL_SPEC.n_points
+
+        warm = execute_campaign(SMALL_SPEC, jobs=1, plan_cache=str(cache_dir))
+        assert _payload_bytes(warm) == reference
+        assert not marker.exists(), "the cache loaded a pickle"
+        assert warm.cache["errors"] == planted and warm.cache["hits"] == 0
+        assert all("invalid JSON" in note for note in warm.cache["notes"])
 
 
 class TestManifestProvenance:
@@ -155,14 +265,15 @@ class TestManifestProvenance:
 
     def test_cache_counters_reach_telemetry(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        execute_campaign(SMALL_SPEC, jobs=1, plan_cache=cache_dir)
+        cold = execute_campaign(SMALL_SPEC, jobs=1, plan_cache=cache_dir, profile=True)
+        assert cold.telemetry["metrics"]["counter"]["kernel.dense_ticks"] > 0
         warm = execute_campaign(SMALL_SPEC, jobs=1, plan_cache=cache_dir, profile=True)
         counters = warm.telemetry["metrics"]["counter"]
         assert counters["cache.hit"] == 4
         assert counters["cache.miss"] == 0
-        # A served group's kernel counters come from its deepest restore,
-        # which carries the cold run's history (plan_builds >= 1).
-        assert counters.get("kernel.plan_builds", 0) >= 1
+        # Every point was served from a record, so nothing was simulated
+        # and the run reports no kernel work.
+        assert counters.get("kernel.dense_ticks", 0) == 0
 
     def test_composes_with_jobs_and_chunk(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
